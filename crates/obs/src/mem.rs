@@ -49,9 +49,13 @@ impl TrackingAlloc {
     /// Reads the current counters. All-zero when no binary installed
     /// the allocator — [`AllocSnapshot::is_tracking`] distinguishes.
     pub fn snapshot() -> AllocSnapshot {
+        // `on_alloc` raises the live count before it raises the peak,
+        // so a read between the two would see `peak < live`; the live
+        // count read first is a peak the counters just passed through.
+        let live_bytes = LIVE_BYTES.load(Ordering::Relaxed);
         AllocSnapshot {
-            live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
-            peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
+            live_bytes,
+            peak_bytes: PEAK_BYTES.load(Ordering::Relaxed).max(live_bytes),
             total_alloc_bytes: TOTAL_ALLOC_BYTES.load(Ordering::Relaxed),
             alloc_count: ALLOCS.load(Ordering::Relaxed),
             dealloc_count: DEALLOCS.load(Ordering::Relaxed),
