@@ -19,13 +19,13 @@ use std::sync::Arc;
 use grm_pgraph::PropertyGraph;
 
 use crate::error::Result;
-use crate::exec::{execute_query_inner, ResultSet};
+use crate::exec::ResultSet;
 use crate::optimizer::{optimize, RewriteStats};
 use crate::parser::parse;
 use crate::plan_cache::{
     normalize_text, CachedPlan, PlanCacheConfig, PlanCacheStats, QueryPlanCache,
 };
-use crate::profile::{Profiler, QueryProfile};
+use crate::profile::QueryProfile;
 
 /// Knobs of a scoring session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,16 +133,15 @@ impl BatchSession {
                     (parsed, RewriteStats::default())
                 };
                 self.stats.rewrites.absorb(&rewrites);
-                self.cache.insert(&text, epoch, CachedPlan { query, rewrites })
+                self.cache.insert(&text, epoch, CachedPlan::new(query, rewrites))
             }
         };
         self.stats.executed += 1;
         let (rs, profile) = if profiled {
-            let prof = Profiler::new(&plan.query);
-            let rs = execute_query_inner(graph, &plan.query, Some(&prof))?;
-            (rs, Some(prof.finish(src)))
+            let (rs, profile) = plan.prepared.run_profiled(graph, src)?;
+            (rs, Some(profile))
         } else {
-            (execute_query_inner(graph, &plan.query, None)?, None)
+            (plan.prepared.run(graph, None)?, None)
         };
         let rs = Arc::new(rs);
         if self.config.memoize {

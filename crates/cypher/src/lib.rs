@@ -35,7 +35,7 @@ pub mod analyzer;
 pub mod ast;
 pub mod batch;
 pub mod error;
-pub mod eval;
+mod eval;
 pub mod exec;
 pub mod lexer;
 pub mod optimizer;
@@ -51,7 +51,6 @@ pub use ast::{
 };
 pub use batch::{BatchConfig, BatchSession, BatchStats};
 pub use error::{CypherError, Result, Span};
-pub use eval::{Binding, EvalCtx, Row};
 pub use exec::{
     execute, execute_optimized, execute_optimized_profiled, execute_profiled, execute_query,
     execute_traced, ResultSet,

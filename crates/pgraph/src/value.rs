@@ -7,8 +7,10 @@
 //! as silently-empty results rather than hard errors — the behaviour
 //! §4.4 of the paper relies on.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A property value attached to a node or an edge.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -119,8 +121,64 @@ impl Value {
         }
     }
 
-    /// A stable key usable for grouping/DISTINCT. Floats are rendered
-    /// with full precision; lists recurse.
+    /// Grouping equality — the equality of `DISTINCT`, grouping keys
+    /// and distinct counts. Values are equal when they have the same
+    /// variant and content: floats compare by bit pattern with every
+    /// NaN equal (so `0.0` and `-0.0` differ), and lists compare
+    /// element by element. Unlike [`Value::cypher_eq`], `Null` equals
+    /// `Null` and `1` differs from `1.0`.
+    pub fn group_eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) | (Value::DateTime(a), Value::DateTime(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => float_bits(*a) == float_bits(*b),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::List(a), Value::List(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.group_eq(y))
+            }
+            _ => false,
+        }
+    }
+
+    /// Hashes the value consistently with [`Value::group_eq`].
+    pub fn group_hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Value::Null => state.write_u8(0),
+            Value::Bool(b) => {
+                state.write_u8(1);
+                state.write_u8(u8::from(*b));
+            }
+            Value::Int(i) => {
+                state.write_u8(2);
+                state.write_i64(*i);
+            }
+            Value::Float(f) => {
+                state.write_u8(3);
+                state.write_u64(float_bits(*f));
+            }
+            Value::Str(s) => {
+                state.write_u8(4);
+                s.hash(state);
+            }
+            Value::DateTime(t) => {
+                state.write_u8(5);
+                state.write_i64(*t);
+            }
+            Value::List(vs) => {
+                state.write_u8(6);
+                state.write_usize(vs.len());
+                for v in vs {
+                    v.group_hash(state);
+                }
+            }
+        }
+    }
+
+    /// A stable, readable sort key. Floats are rendered with full
+    /// precision; lists recurse. It is not injective (list elements
+    /// are joined with `,`), so equality of values goes through
+    /// [`Value::group_eq`] / [`ValueKey`] instead.
     pub fn group_key(&self) -> String {
         match self {
             Value::Null => "∅".to_owned(),
@@ -136,6 +194,36 @@ impl Value {
         }
     }
 }
+
+/// Bit pattern of a float under grouping equality: every NaN maps to
+/// one pattern.
+fn float_bits(f: f64) -> u64 {
+    if f.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        f.to_bits()
+    }
+}
+
+/// A value, owned or borrowed, hashed and compared under
+/// [`Value::group_eq`]: the typed, injective key that grouping,
+/// `DISTINCT`, distinct counts and schema inference use.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueKey<V>(pub V);
+
+impl<V: Borrow<Value>> Hash for ValueKey<V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.borrow().group_hash(state);
+    }
+}
+
+impl<V: Borrow<Value>> PartialEq for ValueKey<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.borrow().group_eq(other.0.borrow())
+    }
+}
+
+impl<V: Borrow<Value>> Eq for ValueKey<V> {}
 
 impl fmt::Display for Value {
     /// Renders a Cypher-compatible literal; used by the text encoders
@@ -235,6 +323,38 @@ mod tests {
     fn group_keys_distinguish_types() {
         assert_ne!(Value::Int(1).group_key(), Value::from("1").group_key());
         assert_ne!(Value::Bool(true).group_key(), Value::from("true").group_key());
+    }
+
+    fn key_eq(a: &Value, b: &Value) -> bool {
+        ValueKey(a) == ValueKey(b)
+    }
+
+    #[test]
+    fn group_equality_is_typed_and_injective() {
+        // `group_key` renders both lists as "l:[s:a,s:b]".
+        let joined = Value::List(vec![Value::from("a,s:b")]);
+        let split = Value::List(vec![Value::from("a"), Value::from("b")]);
+        assert_eq!(joined.group_key(), split.group_key());
+        assert!(!key_eq(&joined, &split));
+        assert!(!key_eq(&Value::Int(1), &Value::Float(1.0)));
+        assert!(!key_eq(&Value::Int(1), &Value::DateTime(1)));
+        assert!(!key_eq(&Value::Null, &Value::from("∅")));
+        assert!(!key_eq(&Value::Float(0.0), &Value::Float(-0.0)));
+        assert!(key_eq(&Value::Float(f64::NAN), &Value::Float(-f64::NAN)));
+        assert!(key_eq(&Value::Null, &Value::Null));
+        assert!(key_eq(&split, &split.clone()));
+    }
+
+    #[test]
+    fn value_keys_hash_consistently_across_ownership() {
+        use std::collections::HashSet;
+        let v = Value::List(vec![Value::Float(f64::NAN), Value::from("x")]);
+        let mut set = HashSet::new();
+        set.insert(ValueKey(v.clone()));
+        let w = Value::List(vec![Value::Float(-f64::NAN), Value::from("x")]);
+        assert!(set.contains(&ValueKey(w)));
+        let borrowed: HashSet<ValueKey<&Value>> = [ValueKey(&v)].into_iter().collect();
+        assert!(borrowed.contains(&ValueKey(&v)));
     }
 
     #[test]

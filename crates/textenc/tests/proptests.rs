@@ -2,7 +2,7 @@
 //! decoding.
 
 use grm_pgraph::{props, PropertyGraph, Value};
-use grm_textenc::{chunk, encode_incident, tokenize, GraphFragment, WindowConfig};
+use grm_textenc::{chunk, encode_incident, token_count, tokenize, GraphFragment, WindowConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -10,6 +10,18 @@ proptest! {
     #[test]
     fn tokenizer_is_lossless(text in ".{0,300}") {
         prop_assert_eq!(tokenize(&text).concat(), text);
+    }
+
+    /// Counting tokens agrees with materialising them.
+    #[test]
+    fn token_count_matches_tokenize(text in ".{0,300}") {
+        prop_assert_eq!(token_count(&text), tokenize(&text).len());
+    }
+
+    /// The same on the encoder's alphabet, whitespace runs included.
+    #[test]
+    fn token_count_matches_tokenize_on_encoder_text(text in "[a-zA-Z0-9_ \t\n.,:{}'é✓]{0,300}") {
+        prop_assert_eq!(token_count(&text), tokenize(&text).len());
     }
 
     /// No token is empty and alphanumeric runs respect the piece cap.
