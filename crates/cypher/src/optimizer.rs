@@ -13,8 +13,8 @@
 //!    the same candidates at an earlier operator.
 //! 2. **Label reordering** — multi-label node patterns put their most
 //!    selective label first; the scan picks `labels.first()` for its
-//!    index and `bind_node` re-checks every label, so only the
-//!    candidate count changes.
+//!    index and re-checks the other labels, so only the candidate
+//!    count changes.
 //! 3. **Pattern ordering** — within one `MATCH`, patterns run
 //!    cheapest-anchor-first (greedy on [`scan_cost`] under the
 //!    statically known bound variables). Applied only to queries
