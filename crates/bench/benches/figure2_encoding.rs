@@ -26,6 +26,10 @@ fn bench_encoding(c: &mut Criterion) {
     group.bench_function("chunk_8000_500", |b| {
         b.iter(|| chunk(&encoded, WindowConfig::default()).len())
     });
+    // The RAG ingest config: short windows, many of them.
+    group.bench_function("chunk_512_0", |b| {
+        b.iter(|| chunk(&encoded, WindowConfig::new(512, 0)).len())
+    });
     group.finish();
 
     let mut group = c.benchmark_group("figure2/rag");

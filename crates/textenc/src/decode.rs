@@ -44,11 +44,7 @@ impl GraphFragment {
     /// lines are counted in `skipped_lines`.
     pub fn parse(text: &str) -> GraphFragment {
         let mut frag = GraphFragment::default();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with("Graph with ") {
-                continue;
-            }
+        for line in element_lines(text) {
             if let Some(edge) = parse_edge_line(line) {
                 frag.edges.push(edge);
             } else if let Some(node) = parse_node_line(line) {
@@ -58,6 +54,15 @@ impl GraphFragment {
             }
         }
         frag
+    }
+
+    /// The element count of [`GraphFragment::parse`]: `nodes.len() +
+    /// edges.len()`, from the same line grammar, without keeping the
+    /// parsed elements.
+    pub fn count_elements(text: &str) -> usize {
+        element_lines(text)
+            .filter(|line| parse_edge_line(line).is_some() || parse_node_line(line).is_some())
+            .count()
     }
 
     /// Rebuilds a small property graph from the fragment — the
@@ -95,6 +100,12 @@ impl GraphFragment {
             (self.nodes.len() + self.edges.len()) as f64 / total_elements as f64
         }
     }
+}
+
+/// The trimmed lines of `text` that may hold a graph element: blank
+/// lines and the `Graph with ...` header are left out.
+fn element_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().map(str::trim).filter(|line| !line.is_empty() && !line.starts_with("Graph with "))
 }
 
 /// `Node n0 with labels A:B has properties {k: v}.`

@@ -44,10 +44,11 @@ pub fn token_count(text: &str) -> usize {
 }
 
 /// End (exclusive byte offset) of the token starting at `i < len`.
-/// Always inlined: both scans run it once per token over the whole
-/// encoding, and a call per token costs `tokenize` ~10%.
+/// Always inlined: the scans here and the window chunker run it once
+/// per token over the whole encoding, and a call per token costs
+/// `tokenize` ~10%.
 #[inline(always)]
-fn token_end(bytes: &[u8], mut i: usize) -> usize {
+pub(crate) fn token_end(bytes: &[u8], mut i: usize) -> usize {
     // Leading whitespace rides along with the token.
     while i < bytes.len() && bytes[i].is_ascii_whitespace() {
         i += 1;

@@ -11,7 +11,7 @@
 //! (6 / 11 / 6 for the three datasets) — [`WindowSet::broken_patterns`]
 //! measures exactly that.
 
-use crate::tokenizer::tokenize;
+use crate::tokenizer::token_end;
 
 /// Paper defaults (§3.1.1).
 pub const DEFAULT_WINDOW_SIZE: usize = 8000;
@@ -106,33 +106,61 @@ impl WindowSet {
 /// A *pattern* for breakage accounting is one encoder line (the
 /// incident encoder emits exactly one graph element per line). A line
 /// is intact iff at least one window contains it entirely.
+///
+/// One scan over the tokens finds every window's byte range; each
+/// window's text is then sliced from `text`. No per-token buffer is
+/// built, so the cost is linear in the text length.
 pub fn chunk(text: &str, config: WindowConfig) -> WindowSet {
-    let tokens = tokenize(text);
-    let total = tokens.len();
+    let (total, ranges) = window_byte_ranges(text.as_bytes(), config);
     let stride = config.window_size - config.overlap;
-
-    let mut windows = Vec::new();
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    let mut index = 0usize;
-    while start < total {
-        let end = (start + config.window_size).min(total);
-        windows.push(Window {
-            index,
-            text: tokens[start..end].concat(),
-            start_token: start,
-            token_len: end - start,
-        });
-        ranges.push((start, end));
-        index += 1;
-        if end == total {
-            break;
-        }
-        start += stride;
-    }
-
-    let breakages = broken_pattern_details(text, &tokens, &ranges);
+    let windows = ranges
+        .iter()
+        .enumerate()
+        .map(|(index, &(b0, b1))| {
+            let start_token = index * stride;
+            Window {
+                index,
+                text: text[b0..b1].to_owned(),
+                start_token,
+                token_len: (start_token + config.window_size).min(total) - start_token,
+            }
+        })
+        .collect();
+    let breakages = broken_pattern_details(text, &ranges);
     WindowSet { windows, config, total_tokens: total, broken_patterns: breakages.len(), breakages }
+}
+
+/// Counts the tokens of `bytes` and finds the byte range of every
+/// window in one pass: window `k` spans tokens `k·stride ..
+/// k·stride + window_size`, clipped to the text, and the last window
+/// is the first one that reaches the final token. Both the starts and
+/// the ends of the ranges are non-decreasing.
+fn window_byte_ranges(bytes: &[u8], config: WindowConfig) -> (usize, Vec<(usize, usize)>) {
+    let stride = config.window_size - config.overlap;
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    // Token indices of the next window start and end to record, and
+    // the number of windows whose end has been recorded.
+    let (mut next_start, mut next_end, mut closed) = (0usize, config.window_size, 0usize);
+    let (mut tokens, mut pos) = (0usize, 0usize);
+    while pos < bytes.len() {
+        if tokens == next_start.min(next_end) {
+            if tokens == next_start {
+                ranges.push((pos, bytes.len()));
+                next_start += stride;
+            }
+            if tokens == next_end {
+                ranges[closed].1 = pos;
+                closed += 1;
+                next_end += stride;
+            }
+        }
+        pos = token_end(bytes, pos);
+        tokens += 1;
+    }
+    // Windows `..closed` end before the last token, so window
+    // `closed` is the one that reaches it; later starts are unused.
+    ranges.truncate(closed + 1);
+    (tokens, ranges)
 }
 
 /// Finds the *patterns* that no window contains entirely.
@@ -146,41 +174,35 @@ pub fn chunk(text: &str, config: WindowConfig) -> WindowSet {
 /// reports 6 / 11 / 6 of them across the three datasets). Each is
 /// reported with the node id and the first/last window overlapping
 /// its bytes.
-fn broken_pattern_details(
-    text: &str,
-    tokens: &[&str],
-    ranges: &[(usize, usize)],
-) -> Vec<BrokenPattern> {
+///
+/// `ranges` are the windows' byte ranges, with non-decreasing starts
+/// and ends, so each block is placed by binary search.
+fn broken_pattern_details(text: &str, ranges: &[(usize, usize)]) -> Vec<BrokenPattern> {
     if ranges.len() <= 1 {
         return Vec::new();
     }
-    // Map token index -> byte offset of token start.
-    let mut offsets = Vec::with_capacity(tokens.len() + 1);
-    let mut pos = 0usize;
-    for t in tokens {
-        offsets.push(pos);
-        pos += t.len();
-    }
-    offsets.push(pos);
-
-    // Byte ranges of the windows.
-    let byte_ranges: Vec<(usize, usize)> =
-        ranges.iter().map(|(s, e)| (offsets[*s], offsets[*e])).collect();
-
-    // Group consecutive lines into per-node blocks.
     let mut broken = Vec::new();
     let mut block_start = 0usize;
     let mut block_id: Option<&str> = None;
     let mut line_start = 0usize;
     let flush = |start: usize, end: usize, id: Option<&str>, broken: &mut Vec<BrokenPattern>| {
         if end > start {
-            let contained = byte_ranges.iter().any(|(ws, we)| *ws <= start && end <= *we);
+            // Of the windows starting at or before the block, the last
+            // one reaches furthest: a window contains the block iff
+            // that one does.
+            let starts_before = ranges.partition_point(|r| r.0 <= start);
+            let contained = starts_before > 0 && ranges[starts_before - 1].1 >= end;
             if !contained {
-                let overlaps = |(ws, we): &(usize, usize)| *ws < end && start < *we;
+                // The overlapping windows are the contiguous run that
+                // ends after `start` and starts before `end`.
+                let first = ranges.partition_point(|r| r.1 <= start);
+                let past = ranges.partition_point(|r| r.0 < end);
+                let (first_window, last_window) =
+                    if first < past { (first, past - 1) } else { (0, 0) };
                 broken.push(BrokenPattern {
                     node: id.map(|n| format!("n{n}")).unwrap_or_else(|| "-".to_owned()),
-                    first_window: byte_ranges.iter().position(overlaps).unwrap_or(0),
-                    last_window: byte_ranges.iter().rposition(overlaps).unwrap_or(0),
+                    first_window,
+                    last_window,
                 });
             }
         }

@@ -90,15 +90,14 @@ impl Retriever {
         let windows = chunk(encoded, WindowConfig::new(config.chunk_tokens, 0));
         let mut store = VectorStore::new();
         let mut chunk_spans = Vec::with_capacity(windows.len());
-        for w in &windows.windows {
-            store.insert(w.text.clone());
+        for w in windows.windows {
             chunk_spans.push((w.start_token, w.token_len));
+            store.insert(w.text);
         }
-        let full = GraphFragment::parse(encoded);
         Retriever {
             store,
             config,
-            total_elements: full.nodes.len() + full.edges.len(),
+            total_elements: GraphFragment::count_elements(encoded),
             chunk_spans,
         }
     }
@@ -127,13 +126,13 @@ impl Retriever {
             .map(|id| self.chunk_spans.get(*id).copied().unwrap_or((0, 0)))
             .collect();
         let scores: Vec<f32> = hits.iter().map(|h| h.score).collect();
-        let visible = GraphFragment::parse(&chunks.join("\n"));
+        let visible_elements = GraphFragment::count_elements(&chunks.join("\n"));
         Retrieval {
             chunks,
             chunk_ids,
             chunk_spans,
             scores,
-            visible_elements: visible.nodes.len() + visible.edges.len(),
+            visible_elements,
             total_elements: self.total_elements,
         }
     }
