@@ -69,7 +69,24 @@ impl MiningPrompt {
 
     /// Renders the full prompt text sent to the model.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.context.len() + 512);
+        let mut out = self.header(self.context.len());
+        out.push_str(&self.context);
+        out
+    }
+
+    /// Token count of the rendered prompt (drives the timing model),
+    /// without rendering it. The header ends in `"Graph:\n"`, and the
+    /// tokenizer attaches whitespace to the following token, so the
+    /// header's final `"\n"` token merges into the context's first
+    /// token — or stays one token when the context is empty.
+    pub fn token_count(&self) -> usize {
+        token_count(&self.header(0)) - 1 + token_count(&self.context).max(1)
+    }
+
+    /// Everything [`MiningPrompt::render`] puts before the context,
+    /// with room reserved for `context_len` more bytes.
+    fn header(&self, context_len: usize) -> String {
+        let mut out = String::with_capacity(context_len + 512);
         out.push_str(RULE_MINING_INSTRUCTION);
         out.push('\n');
         if let Some(n) = self.target_rules {
@@ -84,13 +101,7 @@ impl MiningPrompt {
             }
         }
         out.push_str("\nGraph:\n");
-        out.push_str(&self.context);
         out
-    }
-
-    /// Token count of the rendered prompt (drives the timing model).
-    pub fn token_count(&self) -> usize {
-        token_count(&self.render())
     }
 }
 

@@ -81,6 +81,36 @@ proptest! {
         );
     }
 
+    /// `MiningPrompt::token_count` counts the tokens of `render()`
+    /// without rendering the prompt: empty, whitespace-only,
+    /// leading-whitespace and multibyte contexts, both styles, with
+    /// and without a rule-count request.
+    #[test]
+    fn prompt_token_count_matches_rendered_prompt(
+        context in prop_oneof![
+            Just(String::new()),
+            "[ \t\r\n]{1,6}",
+            "[ \t\n]{1,4}[a-zA-Z0-9_{}:.'é✓\u{a0}\u{2028} ]{1,30}",
+            "[é✓\u{a0}\u{1F600}][a-z ]{0,10}",
+            ".{0,200}",
+            prop::collection::vec(("[0-9]{1,3}", "[A-Z][a-z]{0,4}"), 0..4).prop_map(|lines| {
+                lines
+                    .iter()
+                    .map(|(id, label)| {
+                        format!("Node n{id} with labels {label} has properties {{id: {id}}}.\n")
+                    })
+                    .collect()
+            }),
+        ],
+        few in any::<bool>(),
+        target_rules in (any::<bool>(), 0usize..100_000).prop_map(|(on, n)| on.then_some(n)),
+    ) {
+        let style = if few { PromptStyle::FewShot } else { PromptStyle::ZeroShot };
+        let mut prompt = MiningPrompt::new(style, context);
+        prompt.target_rules = target_rules;
+        prop_assert_eq!(prompt.token_count(), grm_textenc::token_count(&prompt.render()));
+    }
+
     /// Simulated time is positive and monotone in prompt size.
     #[test]
     fn invocation_time_monotone(extra in 1usize..5000) {

@@ -76,6 +76,17 @@ impl Edge {
     }
 }
 
+/// Appends `id` to `label`'s index entry, cloning the label only when
+/// the entry is new. A new entry starts empty and grows by the push
+/// (not `vec![id]`), so index capacities — and footprints — do not
+/// depend on which path made the entry.
+fn index_push<T>(index: &mut HashMap<String, Vec<T>>, label: &str, id: T) {
+    match index.get_mut(label) {
+        Some(ids) => ids.push(id),
+        None => index.entry(label.to_owned()).or_default().push(id),
+    }
+}
+
 /// The property-graph store.
 ///
 /// Indexes maintained incrementally on insert:
@@ -139,7 +150,7 @@ impl PropertyGraph {
         labels.sort();
         labels.dedup();
         for l in &labels {
-            self.node_label_index.entry(l.clone()).or_default().push(id);
+            index_push(&mut self.node_label_index, l, id);
         }
         self.nodes.push(Node { id, labels, props });
         self.out_adj.push(Vec::new());
@@ -166,7 +177,7 @@ impl PropertyGraph {
         self.epoch += 1;
         let id = EdgeId(self.edges.len() as u32);
         let label = label.into();
-        self.edge_label_index.entry(label.clone()).or_default().push(id);
+        index_push(&mut self.edge_label_index, &label, id);
         self.out_adj[src.0 as usize].push(id);
         self.in_adj[dst.0 as usize].push(id);
         self.edges.push(Edge { id, src, dst, label, props });

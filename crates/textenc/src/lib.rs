@@ -9,12 +9,12 @@
 //!   window sizes are measured in "LLM tokens" as in §3.1.1;
 //! * [`window`] — 8000-token windows with 500-token overlap, plus the
 //!   broken-pattern accounting reported in §4.5;
-//! * [`decode`] — fragment re-parsing, which is how the simulated LLM
+//! * [`decode`] — fragment decoding, which is how the simulated LLM
 //!   in `grm-llm` "reads" the part of the graph inside its prompt.
 //!
 //! ```
-//! use grm_pgraph::{props, PropertyGraph};
-//! use grm_textenc::{chunk, encode_incident, GraphFragment, WindowConfig};
+//! use grm_pgraph::{props, GraphSchema, PropertyGraph};
+//! use grm_textenc::{chunk, decode_graph, encode_incident, WindowConfig};
 //!
 //! let mut g = PropertyGraph::new();
 //! let a = g.add_node(["User"], props([("id", 1i64)]));
@@ -23,8 +23,9 @@
 //!
 //! let text = encode_incident(&g);
 //! let windows = chunk(&text, WindowConfig::new(64, 8));
-//! let seen = GraphFragment::parse(&windows.windows[0].text);
-//! assert!(!seen.nodes.is_empty());
+//! let seen = decode_graph(&windows.windows[0].text);
+//! assert!(seen.node_count() > 0);
+//! assert!(GraphSchema::infer(&seen).has_node_label("User"));
 //! ```
 
 pub mod decode;
@@ -34,7 +35,7 @@ pub mod tokenizer;
 pub mod trace;
 pub mod window;
 
-pub use decode::{FragmentEdge, FragmentNode, GraphFragment};
+pub use decode::{decode_graph, FragmentEdge, FragmentNode, GraphFragment};
 pub use incident::{encode, encode_adjacency, encode_incident, EncoderKind};
 pub use summary::{encode_summary, SummaryConfig};
 pub use tokenizer::{token_count, tokenize, MAX_PIECE};

@@ -116,9 +116,9 @@ fn write_props(out: &mut String, props: &grm_pgraph::PropertyMap) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::GraphFragment;
+    use crate::decode::{decode_graph, GraphFragment};
     use crate::tokenizer::token_count;
-    use grm_pgraph::{props, Value};
+    use grm_pgraph::{props, GraphSchema, Value};
 
     fn banded_graph() -> PropertyGraph {
         let mut g = PropertyGraph::new();
@@ -163,8 +163,8 @@ mod tests {
         let summary = encode_summary(&g, SummaryConfig::default());
         let frag = GraphFragment::parse(&summary);
         assert!(!frag.edges.is_empty());
-        let sketch = frag.sketch();
-        assert!(sketch.signature("FOLLOWS").unwrap().connects("User", "User"));
+        let schema = GraphSchema::infer(&decode_graph(&summary));
+        assert!(schema.signature("FOLLOWS").unwrap().connects("User", "User"));
     }
 
     #[test]

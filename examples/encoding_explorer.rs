@@ -10,9 +10,11 @@
 //! artefacts at every step so the Figure 2 mechanics are visible.
 
 use graph_rule_mining::datasets::{generate, DatasetId, GenConfig};
+use graph_rule_mining::pgraph::GraphSchema;
 use graph_rule_mining::pipeline::RAG_QUERY;
 use graph_rule_mining::textenc::{
-    chunk, encode_adjacency, encode_incident, token_count, GraphFragment, WindowConfig,
+    chunk, decode_graph, encode_adjacency, encode_incident, token_count, GraphFragment,
+    WindowConfig,
 };
 use graph_rule_mining::vecstore::{RagConfig, Retriever};
 
@@ -57,10 +59,9 @@ fn main() {
     }
 
     // 3. What the model actually "knows" inside one window.
-    let frag = GraphFragment::parse(&windows.windows[0].text);
-    let sketch = frag.sketch();
+    let seen = decode_graph(&windows.windows[0].text);
     println!("\nschema visible in window 0 alone:");
-    print!("{}", sketch.summary());
+    print!("{}", GraphSchema::infer(&seen).summary());
 
     // 4. RAG: ingest + retrieve.
     let retriever = Retriever::ingest(&incident, RagConfig { chunk_tokens: 256, top_k: 3 });
